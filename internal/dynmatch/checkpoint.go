@@ -41,7 +41,8 @@ type Checkpoint struct {
 // runCheckpoint freezes the resumable static pipeline. The epoch-stamped
 // visited array is deliberately absent: stamps only carry meaning within a
 // single augmentVertex call, which never spans a budget slice, so a fresh
-// array restores equivalently.
+// array restores equivalently. The touched and matched lists that recycle
+// the run's arrays are absent too: Restore rebuilds them from adj and mate.
 type runCheckpoint struct {
 	phase    int
 	cursor   int32
@@ -183,25 +184,34 @@ func Restore(c *Checkpoint) (*Maintainer, error) {
 	if err := src.UnmarshalBinary(c.rng); err != nil {
 		return nil, &RestoreError{Field: "rng", Why: err.Error(), Err: err}
 	}
-	m := &Maintainer{
-		g:       g,
-		opt:     opt,
-		delta:   opt.Delta,
-		maxLen:  maxLen,
-		budget:  c.budget,
-		out:     matching.WrapMates(slices.Clone(c.mates), c.size),
-		src:     src,
-		rng:     rand.New(src),
-		metrics: c.metrics,
-	}
-	m.bufs = newRunBuffers(n, m.delta)
-	r := newStaticRunBuf(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng, m.bufs)
+	// Rebuild the window on fresh arrays. The restored graph rebuilt its
+	// non-isolated bitset; the touched and matched lists are rebuilt here
+	// from the restored arrays, so the first swaps recycle them exactly as
+	// they would have in the maintainer the checkpoint was taken from.
+	m := &Maintainer{window: newWindow(g, opt, maxLen, rand.New(src)), g: g, src: src}
+	m.budget, m.metrics = c.budget, c.metrics
+	copy(m.outMates, c.mates)
+	m.out = matching.WrapMates(m.outMates, c.size)
+	m.outMatched = appendMatched(m.outMatched, m.outMates)
+	r := m.run
 	r.phase, r.cursor, r.sweep, r.progress = c.run.phase, c.run.cursor, c.run.sweep, c.run.progress
-	for v := range c.run.adj {
-		r.adj[v] = append(r.adj[v][:0], c.run.adj[v]...)
+	for v, row := range c.run.adj {
+		for _, w := range row {
+			r.link(int32(v), w)
+		}
 	}
 	copy(r.mate, c.run.mate)
+	r.matched = appendMatched(r.matched, r.mate)
 	r.size, r.units = c.run.size, c.run.units
-	m.run = r
 	return m, nil
+}
+
+// appendMatched appends every vertex that mates matches to dst.
+func appendMatched(dst, mates []int32) []int32 {
+	for v, w := range mates {
+		if w >= 0 {
+			dst = append(dst, int32(v))
+		}
+	}
+	return dst
 }

@@ -41,8 +41,9 @@ func (o Options) resolve() (Options, int) {
 	return o, r.MaxLen
 }
 
-// Metrics reports the cost profile of a Maintainer, in work units
-// (one unit = one sampled edge / scanned entry / DFS expansion).
+// Metrics reports the cost profile of a Maintainer, in work units (one
+// unit = one visited vertex / sampled edge / scanned entry / DFS expansion
+// / scanned bitset word; see Budget).
 type Metrics struct {
 	Updates        int64
 	UnitsTotal     int64
@@ -57,17 +58,9 @@ type Metrics struct {
 // the approximation factor holds with high probability against an adaptive
 // adversary.
 type Maintainer struct {
-	g       *graph.Dynamic
-	opt     Options
-	delta   int
-	maxLen  int
-	budget  int64
-	out     *matching.Matching
-	run     *staticRun
-	bufs    *runBuffers
-	src     *rand.PCG // retained for checkpointing (see checkpoint.go)
-	rng     *rand.Rand
-	metrics Metrics
+	window
+	g   *graph.Dynamic
+	src *rand.PCG // retained for checkpointing (see checkpoint.go)
 }
 
 // New creates a Maintainer over an initially empty graph on n vertices.
@@ -75,19 +68,12 @@ type Maintainer struct {
 func New(n int, opt Options, seed uint64) *Maintainer {
 	opt, maxLen := opt.resolve()
 	src := rand.NewPCG(seed, 0xd1ce)
-	m := &Maintainer{
-		g:      graph.NewDynamic(n),
-		opt:    opt,
-		delta:  opt.Delta,
-		maxLen: maxLen,
-		budget: opt.MinBudget,
-		out:    matching.NewMatching(n),
+	g := graph.NewDynamic(n)
+	return &Maintainer{
+		window: newWindow(g, opt, maxLen, rand.New(src)),
+		g:      g,
 		src:    src,
-		rng:    rand.New(src),
 	}
-	m.bufs = newRunBuffers(n, m.delta)
-	m.run = newStaticRunBuf(m.g, m.delta, m.maxLen, m.opt.Sweeps, m.rng, m.bufs)
-	return m
 }
 
 // N returns the number of vertices.
@@ -95,16 +81,6 @@ func (mt *Maintainer) N() int { return mt.g.N() }
 
 // Graph exposes the current dynamic graph (read-only use).
 func (mt *Maintainer) Graph() *graph.Dynamic { return mt.g }
-
-// Matching returns the maintained matching. The returned value is live; do
-// not mutate it.
-func (mt *Maintainer) Matching() *matching.Matching { return mt.out }
-
-// Size returns the current matching size.
-func (mt *Maintainer) Size() int { return mt.out.Size() }
-
-// Metrics returns the accumulated cost counters.
-func (mt *Maintainer) Metrics() Metrics { return mt.metrics }
 
 // ResolvedOptions returns the options after zero-value resolution through
 // internal/params — the Δ, sweep count, and budget floor the maintainer
@@ -118,14 +94,10 @@ func (mt *Maintainer) Validate() error {
 	return matching.Verify(mt.g.Snapshot(), mt.out)
 }
 
-// Budget returns the current per-update work budget (the worst-case update
-// cost in units, up to the bounded overrun of a single DFS).
-func (mt *Maintainer) Budget() int64 { return mt.budget }
-
 // Insert adds edge {u, v}; it reports whether the edge was new.
 func (mt *Maintainer) Insert(u, v int32) bool {
 	added := mt.g.Insert(u, v)
-	mt.advance()
+	mt.advance(0)
 	return added
 }
 
@@ -135,61 +107,8 @@ func (mt *Maintainer) Insert(u, v int32) bool {
 func (mt *Maintainer) Delete(u, v int32) bool {
 	existed := mt.g.Delete(u, v)
 	if existed {
-		mt.out.RemoveEdge(u, v)
-		mt.out.RemoveEdge(v, u)
-		mt.run.removeEdge(u, v)
+		mt.removeEdge(u, v)
 	}
-	mt.advance()
+	mt.advance(0)
 	return existed
-}
-
-// advance spends one update's work budget on the background recomputation,
-// swapping in the fresh matching when it completes.
-func (mt *Maintainer) advance() {
-	mt.metrics.Updates++
-	budget := mt.budget
-	before := mt.run.units
-	done := mt.run.step(budget)
-	spent := mt.run.units - before
-	if done {
-		spent += mt.swap()
-	}
-	mt.metrics.UnitsTotal += spent
-	if spent > mt.metrics.MaxUnitsUpdate {
-		mt.metrics.MaxUnitsUpdate = spent
-	}
-	if over := spent - budget; over > mt.metrics.MaxOverrun {
-		mt.metrics.MaxOverrun = over
-	}
-}
-
-// swap installs the finished matching, recalibrates the window budget from
-// the measured cost of the finished run, and starts the next run. It
-// returns the units charged for the swap itself.
-func (mt *Maintainer) swap() int64 {
-	mates, size := mt.run.result()
-	fresh := matching.WrapMates(mates, size)
-	swapCost := int64(1)
-	mt.out = fresh
-	mt.metrics.Recomputes++
-	// Window length w = 1 + ⌊ε·|M|/4⌋ updates; pace the next run so it
-	// finishes within one window: budget ≈ 2·(measured cost)/w.
-	w := 1 + int64(mt.opt.Eps*float64(fresh.Size())/4)
-	b := 2*mt.run.units/w + 1
-	if b < mt.opt.MinBudget {
-		b = mt.opt.MinBudget
-	}
-	mt.budget = b
-	mt.run.releaseInto(mt.bufs)
-	mt.run = newStaticRunBuf(mt.g, mt.delta, mt.maxLen, mt.opt.Sweeps, mt.rng, mt.bufs)
-	return swapCost
-}
-
-// ForceRecompute drives the background run to completion immediately and
-// swaps the result in. Intended for tests and for bootstrapping a
-// pre-loaded graph; it is the only operation whose cost is not budgeted.
-func (mt *Maintainer) ForceRecompute() {
-	for !mt.run.step(1 << 20) {
-	}
-	mt.metrics.UnitsTotal += mt.swap()
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/arcs"
 	"repro/internal/graph"
-	"repro/internal/matching"
 )
 
 // ObliviousMaintainer implements the simpler dynamic scheme the paper
@@ -23,62 +22,38 @@ import (
 // remarking. The experiments use this type as the ablation contrasting with
 // Maintainer, whose fresh-randomness-per-window design is adaptive-safe.
 type ObliviousMaintainer struct {
-	g       *graph.Dynamic
-	sp      *graph.Dynamic  // the maintained sparsifier (union of marks)
-	marks   [][]int32       // marks[v] = neighbors marked due to v
-	count   map[uint64]int8 // endpoints marking each packed arc (1 or 2)
-	opt     Options
-	delta   int
-	maxLen  int
-	budget  int64
-	out     *matching.Matching
-	run     *staticRun
-	bufs    *runBuffers
-	rng     *rand.Rand
-	metrics Metrics
+	window
+	g     *graph.Dynamic
+	sp    *graph.Dynamic  // the maintained sparsifier (union of marks)
+	marks [][]int32       // marks[v] = neighbors marked due to v
+	count map[uint64]int8 // endpoints marking each packed arc (1 or 2)
+	rng   *rand.Rand
 }
 
 // NewOblivious creates an ObliviousMaintainer over an empty graph.
 // It panics on invalid opt.Beta or opt.Eps.
 func NewOblivious(n int, opt Options, seed uint64) *ObliviousMaintainer {
 	opt, maxLen := opt.resolve()
-	m := &ObliviousMaintainer{
-		g:      graph.NewDynamic(n),
-		sp:     graph.NewDynamic(n),
-		marks:  make([][]int32, n),
-		count:  make(map[uint64]int8),
-		opt:    opt,
-		delta:  opt.Delta,
-		maxLen: maxLen,
-		budget: opt.MinBudget,
-		out:    matching.NewMatching(n),
-		rng:    rand.New(rand.NewPCG(seed, 0x0b11f)),
-	}
+	sp := graph.NewDynamic(n)
+	rng := rand.New(rand.NewPCG(seed, 0x0b11f))
 	// The recompute run reads the maintained sparsifier; its own sampling
 	// stage degenerates to "take everything" because sparsifier degrees are
 	// already O(Δ).
-	m.bufs = newRunBuffers(n, m.delta)
-	m.run = newStaticRunBuf(m.sp, m.delta, maxLen, opt.Sweeps, m.rng, m.bufs)
-	return m
+	return &ObliviousMaintainer{
+		window: newWindow(sp, opt, maxLen, rng),
+		g:      graph.NewDynamic(n),
+		sp:     sp,
+		marks:  make([][]int32, n),
+		count:  make(map[uint64]int8),
+		rng:    rng,
+	}
 }
-
-// Matching returns the maintained matching (live; do not mutate).
-func (mt *ObliviousMaintainer) Matching() *matching.Matching { return mt.out }
-
-// Size returns the matching size.
-func (mt *ObliviousMaintainer) Size() int { return mt.out.Size() }
 
 // Graph exposes the dynamic graph.
 func (mt *ObliviousMaintainer) Graph() *graph.Dynamic { return mt.g }
 
 // SparsifierEdges returns the current sparsifier size.
 func (mt *ObliviousMaintainer) SparsifierEdges() int { return mt.sp.M() }
-
-// Metrics returns accumulated cost counters.
-func (mt *ObliviousMaintainer) Metrics() Metrics { return mt.metrics }
-
-// Budget returns the current per-update recompute budget.
-func (mt *ObliviousMaintainer) Budget() int64 { return mt.budget }
 
 // Insert adds {u, v} and re-marks both endpoints.
 func (mt *ObliviousMaintainer) Insert(u, v int32) bool {
@@ -87,7 +62,7 @@ func (mt *ObliviousMaintainer) Insert(u, v int32) bool {
 		mt.remark(u)
 		mt.remark(v)
 	}
-	mt.advance()
+	mt.advance(2 * int64(mt.delta)) // charge the remarks
 	return added
 }
 
@@ -96,13 +71,11 @@ func (mt *ObliviousMaintainer) Insert(u, v int32) bool {
 func (mt *ObliviousMaintainer) Delete(u, v int32) bool {
 	existed := mt.g.Delete(u, v)
 	if existed {
-		mt.out.RemoveEdge(u, v)
-		mt.out.RemoveEdge(v, u)
-		mt.run.removeEdge(u, v)
+		mt.removeEdge(u, v)
 		mt.remark(u)
 		mt.remark(v)
 	}
-	mt.advance()
+	mt.advance(2 * int64(mt.delta)) // charge the remarks
 	return existed
 }
 
@@ -147,45 +120,4 @@ func (mt *ObliviousMaintainer) remark(v int32) {
 		seen[i] = true
 		addMark(mt.g.Neighbor(v, i))
 	}
-}
-
-// advance mirrors Maintainer.advance over the maintained sparsifier.
-func (mt *ObliviousMaintainer) advance() {
-	mt.metrics.Updates++
-	budget := mt.budget
-	before := mt.run.units
-	done := mt.run.step(budget)
-	spent := mt.run.units - before + 2*int64(mt.delta) // charge the remark
-	if done {
-		mates, size := mt.run.result()
-		mt.out = matching.WrapMates(mates, size)
-		mt.metrics.Recomputes++
-		w := 1 + int64(mt.opt.Eps*float64(size)/4)
-		b := 2*mt.run.units/w + 1
-		if b < mt.opt.MinBudget {
-			b = mt.opt.MinBudget
-		}
-		mt.budget = b
-		mt.run.releaseInto(mt.bufs)
-		mt.run = newStaticRunBuf(mt.sp, mt.delta, mt.maxLen, mt.opt.Sweeps, mt.rng, mt.bufs)
-		spent++
-	}
-	mt.metrics.UnitsTotal += spent
-	if spent > mt.metrics.MaxUnitsUpdate {
-		mt.metrics.MaxUnitsUpdate = spent
-	}
-	if over := spent - budget; over > mt.metrics.MaxOverrun {
-		mt.metrics.MaxOverrun = over
-	}
-}
-
-// ForceRecompute drives the in-progress recomputation to completion.
-func (mt *ObliviousMaintainer) ForceRecompute() {
-	for !mt.run.step(1 << 20) {
-	}
-	mates, size := mt.run.result()
-	mt.out = matching.WrapMates(mates, size)
-	mt.metrics.Recomputes++
-	mt.run.releaseInto(mt.bufs)
-	mt.run = newStaticRunBuf(mt.sp, mt.delta, mt.maxLen, mt.opt.Sweeps, mt.rng, mt.bufs)
 }

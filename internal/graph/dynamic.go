@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand/v2"
 
 	"repro/internal/invariant"
@@ -14,11 +15,14 @@ import (
 //
 // Adjacency is stored as per-vertex slices with a companion index map, so
 // deletions are swap-removals and iteration over neighbors is cache-friendly.
-// Dynamic is not safe for concurrent mutation.
+// A bitset with one bit per vertex, set iff the vertex has positive degree,
+// lets passes over the vertex set skip isolated vertices 64 at a time
+// (NextNonIsolated). Dynamic is not safe for concurrent mutation.
 type Dynamic struct {
-	adj [][]int32       // adjacency lists (unordered)
-	idx []map[int32]int // idx[v][w] = position of w in adj[v]
-	m   int             // number of edges
+	adj    [][]int32       // adjacency lists (unordered)
+	idx    []map[int32]int // idx[v][w] = position of w in adj[v]
+	m      int             // number of edges
+	nonIso []uint64        // bit v set iff len(adj[v]) > 0
 }
 
 // NewDynamic returns an empty dynamic graph on n vertices.
@@ -27,8 +31,9 @@ func NewDynamic(n int) *Dynamic {
 		invariant.Violatef("graph: negative vertex count %d", n)
 	}
 	d := &Dynamic{
-		adj: make([][]int32, n),
-		idx: make([]map[int32]int, n),
+		adj:    make([][]int32, n),
+		idx:    make([]map[int32]int, n),
+		nonIso: make([]uint64, (n+63)/64),
 	}
 	for v := range d.idx {
 		d.idx[v] = make(map[int32]int)
@@ -49,15 +54,19 @@ func DynamicFrom(g *Static) *Dynamic {
 // cannot afford that, because randomized algorithms sampling by
 // Neighbor(v, i) index replay identically only if the slots line up. The
 // adjacency is deep-copied and checked for range, self-loops, duplicates,
-// and symmetry.
+// and symmetry. The non-isolated bitset is rebuilt from the degrees.
 func DynamicFromAdjacency(adj [][]int32) (*Dynamic, error) {
 	n := len(adj)
 	d := &Dynamic{
-		adj: make([][]int32, n),
-		idx: make([]map[int32]int, n),
+		adj:    make([][]int32, n),
+		idx:    make([]map[int32]int, n),
+		nonIso: make([]uint64, (n+63)/64),
 	}
 	arcsN := 0
 	for v := range adj {
+		if len(adj[v]) > 0 {
+			d.nonIso[v>>6] |= 1 << (v & 63)
+		}
 		d.adj[v] = append([]int32(nil), adj[v]...)
 		d.idx[v] = make(map[int32]int, len(adj[v]))
 		for i, w := range adj[v] {
@@ -106,6 +115,8 @@ func (d *Dynamic) Insert(u, v int32) bool {
 	if u == v || d.HasEdge(u, v) {
 		return false
 	}
+	d.nonIso[u>>6] |= 1 << (u & 63)
+	d.nonIso[v>>6] |= 1 << (v & 63)
 	d.idx[u][v] = len(d.adj[u])
 	d.adj[u] = append(d.adj[u], v)
 	d.idx[v][u] = len(d.adj[v])
@@ -133,6 +144,37 @@ func (d *Dynamic) removeArc(u, v int32) {
 	d.idx[u][moved] = i
 	d.adj[u] = d.adj[u][:last]
 	delete(d.idx[u], v)
+	if last == 0 {
+		d.nonIso[u>>6] &^= 1 << (u & 63)
+	}
+}
+
+// NextNonIsolated returns the first vertex u ≥ v with positive degree,
+// scanning at most maxWords 64-vertex words of the non-isolated bitset,
+// together with the number of words it scanned. When no such vertex exists
+// it returns N() and found = false; when the word bound runs out first it
+// returns the first vertex of the next unscanned word and found = false, so
+// a caller can resume the scan from there. The cost is O(words), which lets
+// a pass over the vertex set run in O(n/64 + non-isolated vertices).
+func (d *Dynamic) NextNonIsolated(v int32, maxWords int) (u int32, words int, found bool) {
+	n := len(d.adj)
+	if int(v) >= n || maxWords <= 0 {
+		return min(v, int32(n)), 0, false
+	}
+	i := int(v >> 6)
+	w := d.nonIso[i] &^ (1<<(v&63) - 1) // drop the vertices below v
+	for words = 1; ; words++ {
+		if w != 0 {
+			return int32(i<<6 + bits.TrailingZeros64(w)), words, true
+		}
+		if i++; i == len(d.nonIso) {
+			return int32(n), words, false
+		}
+		if words == maxWords {
+			return int32(i << 6), words, false
+		}
+		w = d.nonIso[i]
+	}
 }
 
 // Neighbor returns the i-th neighbor of v in the current (unordered)
@@ -178,12 +220,15 @@ func (d *Dynamic) ForEachEdge(fn func(u, v int32)) {
 }
 
 // Validate checks internal consistency (index maps agree with adjacency
-// slices, symmetry, edge count). For tests.
+// slices, symmetry, edge count, non-isolated bitset). For tests.
 func (d *Dynamic) Validate() error {
 	count := 0
 	for v := int32(0); v < int32(d.N()); v++ {
 		if len(d.adj[v]) != len(d.idx[v]) {
 			return fmt.Errorf("graph: vertex %d adj/idx size mismatch", v)
+		}
+		if set := d.nonIso[v>>6]>>(v&63)&1 == 1; set != (len(d.adj[v]) > 0) {
+			return fmt.Errorf("graph: vertex %d non-isolated bit %v, degree %d", v, set, len(d.adj[v]))
 		}
 		for i, w := range d.adj[v] {
 			if d.idx[v][w] != i {

@@ -304,3 +304,53 @@ func TestDynamicNeighborsAndForEachEdge(t *testing.T) {
 		t.Errorf("ForEachEdge visited %d edges, want 2", count)
 	}
 }
+
+// TestDynamicNextNonIsolated checks the bounded bitset scan against a
+// brute-force walk over the degrees, on a vertex count that is not a
+// multiple of 64, after random churn and after an adjacency round trip.
+func TestDynamicNextNonIsolated(t *testing.T) {
+	const n = 300
+	rng := rand.New(rand.NewPCG(3, 9))
+	d := NewDynamic(n)
+	for i := 0; i < 400; i++ {
+		u, v := int32(rng.IntN(n/3)), int32(rng.IntN(n))
+		if rng.IntN(3) == 0 {
+			d.Delete(u, v)
+		} else {
+			d.Insert(u, v)
+		}
+	}
+	adj := make([][]int32, n)
+	for v := range adj {
+		adj[v] = d.Neighbors(int32(v))
+	}
+	restored, err := DynamicFromAdjacency(adj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*Dynamic{d, restored} {
+		if err := g.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		for v := int32(0); v <= n; v++ {
+			want := v
+			for int(want) < n && g.Degree(want) == 0 {
+				want++
+			}
+			for _, maxWords := range []int{1, 2, n} {
+				u, words, found := g.NextNonIsolated(v, maxWords)
+				if words > maxWords || (int(v) < n && words == 0) {
+					t.Fatalf("NextNonIsolated(%d, %d) scanned %d words", v, maxWords, words)
+				}
+				switch {
+				case found && u != want:
+					t.Fatalf("NextNonIsolated(%d, %d) = %d, want %d", v, maxWords, u, want)
+				case !found && int(want) < n && (u > want || u%64 != 0 || int(u)/64 != int(v)/64+words):
+					t.Fatalf("NextNonIsolated(%d, %d) stopped at %d after %d words, next is %d", v, maxWords, u, words, want)
+				case !found && int(want) == n && int(u) != n && u%64 != 0:
+					t.Fatalf("NextNonIsolated(%d, %d) stopped mid-word at %d", v, maxWords, u)
+				}
+			}
+		}
+	}
+}
