@@ -39,7 +39,7 @@ func BoundedDegreeSparsifier(g *graph.Static, deltaAlpha int) *graph.Static {
 			}
 		}
 	}
-	sp := graph.FromSortedArcs(g.N(), buf.Keys())
+	sp := graph.FromPackedArcs(g.N(), buf.Keys())
 	buf.Release()
 	return sp
 }

@@ -92,9 +92,9 @@ const markBlockSize = 1024
 // SparsifyOpts builds G_Δ with explicit options.
 //
 // Marked edges are accumulated directly as packed arcs (internal/arcs) in
-// per-worker pooled buffers and handed to graph.FromPackedArcs, so the
-// construction performs a single integer sort and never materializes an
-// Edge-struct list.
+// per-worker pooled buffers and handed to graph.FromPackedArcs, whose
+// transpose-based build is O(n + arcs) with no comparison sort and never
+// materializes an Edge-struct list.
 func SparsifyOpts(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	if opt.Delta < 1 {
 		invariant.Violatef("core: Delta must be >= 1, got %d", opt.Delta)

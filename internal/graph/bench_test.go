@@ -2,8 +2,7 @@ package graph_test
 
 // Benchmarks for the packed-arc construction path against the legacy
 // []Edge route. Both build the same CSR graph; the packed path skips the
-// Edge-struct intermediate and its re-pack, and FromSortedArcs additionally
-// sorts only the reversed orientations. Run with -benchmem: the headline
+// Edge-struct intermediate and its re-pack. Run with -benchmem: the headline
 // difference is allocated bytes per build.
 
 import (
@@ -40,16 +39,6 @@ func benchmarkBuild(b *testing.B, g *graph.Static) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if sp := graph.FromPackedArcs(n, keys); sp.M() != len(edges) {
-				b.Fatal("bad build")
-			}
-		}
-	})
-	// Edges() emits keys already sorted as (min, max), so the sorted fast
-	// path applies directly.
-	b.Run("FromSortedArcs", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if sp := graph.FromSortedArcs(n, keys); sp.M() != len(edges) {
 				b.Fatal("bad build")
 			}
 		}

@@ -1,7 +1,8 @@
 package graph
 
 import (
-	"slices"
+	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/invariant"
@@ -10,31 +11,53 @@ import (
 
 // Chunked CSR construction.
 //
-// FromPackedArcs materializes both orientations of the whole edge list before
-// sorting, so building a 10⁸-edge graph peaks at ~2× the edge list (3.2 GB)
-// on top of the CSR itself. ChunkedBuilder replaces that with the classic
-// two-pass count-then-fill construction: pass one tallies per-vertex degrees
+// Materializing both orientations of the whole edge list and sorting them
+// would make a 10⁸-edge build peak at ~2× the edge list (3.2 GB) on top of
+// the CSR itself. ChunkedBuilder is instead the classic two-pass
+// count-then-fill construction: pass one tallies per-vertex degrees
 // chunk by chunk, a prefix sum turns the tallies into CSR offsets, and pass
-// two places each arc directly into its vertex's window — a bucket sort keyed
+// two places each arc directly into a vertex's window — a bucket sort keyed
 // on the owning endpoint, so no global sort of the edge list ever happens.
 // Peak memory is the CSR plus a single producer chunk.
 //
+// Windows come out sorted without any comparison sort. The count pass also
+// tallies, per vertex v, the arcs whose other endpoint is smaller than v;
+// that splits v's window into a lower part (neighbors < v) and an upper part
+// (neighbors > v). The fill pass writes each arc once, unsorted, into the
+// upper part of its smaller endpoint. Build then transposes twice: scanning
+// vertices in ascending order, it copies every upper part into the lower
+// parts, which therefore come out sorted with duplicate arcs adjacent; then,
+// scanning in descending order, it copies the lower parts back over the
+// upper parts, skipping those duplicates, so the upper parts come out sorted
+// and deduplicated. A forward compaction drops the lower parts' duplicates
+// and the slack they leave. The build is O(n + arcs) with no comparisons.
+//
 // Parallelism is by vertex-range sharding: each worker scans the whole chunk
-// but tallies/places only endpoints inside its own contiguous vertex range.
-// The per-worker "count arrays" are therefore disjoint partitions of the one
-// shared counts array (merged for free by the shared prefix sum), writes
-// never race, no atomics are needed, and the result is bit-identical for
-// every worker count — fill order within a vertex's window may vary, but
-// Build sorts and dedups every window, erasing it.
+// (or the whole adjacency array, in Build's transposes) but writes only the
+// windows of vertices inside its own contiguous vertex range. The per-worker
+// "count arrays" are therefore disjoint partitions of the one shared counts
+// array (merged for free by the shared prefix sum), writes never race, no
+// atomics are needed, and the result is bit-identical for every worker
+// count — fill order within an upper part may vary, but the transposes
+// erase it.
 type ChunkedBuilder struct {
 	n       int
 	workers int
 
 	state chunkedState
 
-	offsets []int64 // counting: degree tallies at [v+1]; after FinishCounts: CSR offsets
-	cursors []int64 // filling: next write position per vertex
+	offsets []int64  // counting: degree tallies at [v+1]; after FinishCounts: CSR offsets
+	win     []window // per-vertex window state
 	adj     []int32
+	errs    []error // per-shard mismatch reports, when workers > 1
+}
+
+// window is one vertex's build state. Its 8 bytes are all the builder keeps
+// per vertex beyond the CSR, and both fields share a cache line, so a
+// scattered write into the window misses once, not twice.
+type window struct {
+	lower  int32 // arcs whose other endpoint is smaller: the lower part's length
+	cursor int32 // next write position, relative to the window's start
 }
 
 type chunkedState int
@@ -56,7 +79,8 @@ type ChunkedOptions struct {
 // fed packed arcs in chunks: one or more CountChunk calls, FinishCounts, the
 // same chunks again via FillChunk, then Build. The two passes must present
 // the identical arc multiset (a deterministic generator replayed twice, or
-// the same buffered chunks); Build panics if they disagree.
+// the same buffered chunks); FillChunk or Build panics when they disagree
+// in any vertex's count of smaller or larger neighbors.
 func NewChunkedBuilder(n int, opt ChunkedOptions) *ChunkedBuilder {
 	if n < 0 {
 		invariant.Violatef("graph: negative vertex count %d", n)
@@ -68,11 +92,16 @@ func NewChunkedBuilder(n int, opt ChunkedOptions) *ChunkedBuilder {
 	if w < 1 {
 		w = 1
 	}
-	return &ChunkedBuilder{
+	b := &ChunkedBuilder{
 		n:       n,
 		workers: w,
 		offsets: make([]int64, n+1),
+		win:     make([]window, n),
 	}
+	if w > 1 {
+		b.errs = make([]error, w)
+	}
+	return b
 }
 
 // vertexRange returns worker w's contiguous vertex shard [lo, hi).
@@ -90,8 +119,7 @@ func (b *ChunkedBuilder) vertexRange(w int) (lo, hi int32) {
 }
 
 // validateChunk rejects out-of-range endpoints up front, sequentially: a
-// rogue endpoint belongs to no worker's shard, and panics inside worker
-// goroutines would not propagate to the caller.
+// rogue endpoint belongs to no worker's shard.
 func (b *ChunkedBuilder) validateChunk(chunk []uint64) {
 	n := uint64(b.n)
 	for i, k := range chunk {
@@ -102,11 +130,14 @@ func (b *ChunkedBuilder) validateChunk(chunk []uint64) {
 	}
 }
 
-// shard runs fn(worker, lo, hi) on every vertex shard, in parallel when the
-// builder has more than one worker.
-func (b *ChunkedBuilder) shard(fn func(w int, lo, hi int32)) {
+// shard runs fn on every vertex shard [lo, hi), in parallel when the builder
+// has more than one worker. fn reports a mismatch between the two passes by
+// returning an error; shard waits for every shard and then raises the first
+// error (lowest shard) on the caller's goroutine, where it can be recovered,
+// instead of panicking inside a worker and crashing the process.
+func (b *ChunkedBuilder) shard(fn func(lo, hi int32) error) {
 	if b.workers == 1 {
-		fn(0, 0, int32(b.n))
+		raiseMismatch(fn(0, int32(b.n)))
 		return
 	}
 	var wg sync.WaitGroup
@@ -118,10 +149,20 @@ func (b *ChunkedBuilder) shard(fn func(w int, lo, hi int32)) {
 		wg.Add(1)
 		go func(w int, lo, hi int32) {
 			defer wg.Done()
-			fn(w, lo, hi)
+			b.errs[w] = fn(lo, hi)
 		}(w, lo, hi)
 	}
 	wg.Wait()
+	for _, err := range b.errs {
+		raiseMismatch(err)
+	}
+}
+
+// raiseMismatch panics with err, a mismatch between the two passes, if any.
+func raiseMismatch(err error) {
+	if err != nil {
+		invariant.Violatef("graph: %v (chunks differ between passes)", err)
+	}
 }
 
 // CountChunk tallies the degrees contributed by a chunk of packed arcs
@@ -132,121 +173,177 @@ func (b *ChunkedBuilder) CountChunk(chunk []uint64) {
 		invariant.Violatef("graph: CountChunk after FinishCounts")
 	}
 	b.validateChunk(chunk)
-	b.shard(func(_ int, lo, hi int32) {
-		counts := b.offsets[1:] // counts[v] tallies at offsets[v+1]
+	counts, win := b.offsets[1:], b.win // counts[v] tallies at offsets[v+1]
+	b.shard(func(lo, hi int32) error {
 		for _, k := range chunk {
 			u, v := int32(k>>32), int32(uint32(k))
 			if u == v {
 				continue
+			}
+			if u > v {
+				u, v = v, u
 			}
 			if u >= lo && u < hi {
 				counts[u]++
 			}
 			if v >= lo && v < hi {
 				counts[v]++
+				win[v].lower++
 			}
 		}
+		return nil
 	})
 }
 
 // FinishCounts converts the degree tallies into CSR offsets and allocates
-// the neighbor array — the point of peak memory (CSR + one chunk).
+// the neighbor array — the point of peak memory (CSR + one chunk). A window
+// holds at most 2³¹−1 arcs, duplicates included.
 func (b *ChunkedBuilder) FinishCounts() {
 	if b.state != chunkedCounting {
 		invariant.Violatef("graph: FinishCounts called twice")
 	}
 	for v := 0; v < b.n; v++ {
+		if deg := b.offsets[v+1]; deg > math.MaxInt32 {
+			invariant.Violatef("graph: vertex %d receives %d arcs, more than a window holds", v, deg)
+		}
 		b.offsets[v+1] += b.offsets[v]
+		// The fill pass writes each upper part from just past its lower part.
+		b.win[v].cursor = b.win[v].lower
 	}
 	b.adj = make([]int32, b.offsets[b.n])
-	b.cursors = make([]int64, b.n)
-	copy(b.cursors, b.offsets[:b.n])
 	b.state = chunkedFilling
 }
 
-// FillChunk places a chunk of packed arcs into the CSR windows reserved by
-// the count pass. The fill pass must replay the same arc multiset the count
-// pass saw; Build panics on any mismatch.
+// FillChunk writes each arc of a chunk, once, into the upper part of its
+// smaller endpoint's window. The fill pass must replay the same arc
+// multiset the count pass saw; a vertex whose upper part overflows here or
+// is left short at Build panics.
 func (b *ChunkedBuilder) FillChunk(chunk []uint64) {
 	if b.state != chunkedFilling {
 		invariant.Violatef("graph: FillChunk before FinishCounts or after Build")
 	}
 	b.validateChunk(chunk)
-	b.shard(func(_ int, lo, hi int32) {
+	offsets, win, adj := b.offsets, b.win, b.adj
+	b.shard(func(lo, hi int32) error {
 		for _, k := range chunk {
 			u, v := int32(k>>32), int32(uint32(k))
 			if u == v {
 				continue
 			}
-			if u >= lo && u < hi {
-				if b.cursors[u] >= b.offsets[u+1] {
-					invariant.Violatef("graph: fill pass overflows vertex %d (chunks differ between passes)", u)
-				}
-				b.adj[b.cursors[u]] = v
-				b.cursors[u]++
+			if u > v {
+				u, v = v, u
 			}
-			if v >= lo && v < hi {
-				if b.cursors[v] >= b.offsets[v+1] {
-					invariant.Violatef("graph: fill pass overflows vertex %d (chunks differ between passes)", v)
-				}
-				b.adj[b.cursors[v]] = u
-				b.cursors[v]++
+			if u < lo || u >= hi {
+				continue
 			}
+			wu := &win[u]
+			pos := offsets[u] + int64(wu.cursor)
+			if pos >= offsets[u+1] {
+				return fmt.Errorf("fill pass overflows the upper part of vertex %d", u)
+			}
+			adj[pos] = v
+			wu.cursor++
 		}
+		return nil
 	})
 }
 
-// Build sorts each adjacency window, removes duplicate edges, compacts the
-// arrays, and returns the finished graph. The output is bit-identical to
-// FromPackedArcs over the concatenation of all chunks. The builder cannot
-// be reused afterwards.
+// Build sorts and deduplicates every window by the two transposes described
+// above, compacts the arrays, and returns the finished graph. The output is
+// bit-identical to FromPackedArcs over the concatenation of all chunks. The
+// builder cannot be reused afterwards.
 func (b *ChunkedBuilder) Build() *Static {
 	if b.state != chunkedFilling {
 		invariant.Violatef("graph: Build before FinishCounts or called twice")
 	}
 	b.state = chunkedBuilt
 
-	// Every window must be exactly full: a short window means the fill pass
+	// Every upper part must be exactly full: a short one means the fill pass
 	// saw fewer arcs than the count pass.
 	for v := 0; v < b.n; v++ {
-		if b.cursors[v] != b.offsets[v+1] {
+		if deg := b.offsets[v+1] - b.offsets[v]; int64(b.win[v].cursor) != deg {
 			invariant.Violatef("graph: fill pass underfills vertex %d: %d of %d (chunks differ between passes)",
-				v, b.cursors[v]-b.offsets[v], b.offsets[v+1]-b.offsets[v])
+				v, b.win[v].cursor-b.win[v].lower, deg-int64(b.win[v].lower))
 		}
 	}
 
-	// Sort and dedup each window in place; record deduped lengths in cursors.
-	b.shard(func(_ int, lo, hi int32) {
+	// Upper parts → lower parts, sources ascending: each lower part comes out
+	// sorted with duplicates adjacent. The upper parts hold exactly as many
+	// arcs as the lower parts were counted to hold, so if none overflows,
+	// every one is exactly full. Only sources below hi can have a neighbor in
+	// [lo, hi).
+	offsets, win, adj := b.offsets, b.win, b.adj
+	b.shard(func(lo, hi int32) error {
 		for v := lo; v < hi; v++ {
-			win := b.adj[b.offsets[v]:b.offsets[v+1]]
-			slices.Sort(win)
-			b.cursors[v] = int64(len(slices.Compact(win)))
+			win[v].cursor = 0
 		}
+		for u := int32(0); u < hi; u++ {
+			for _, v := range adj[offsets[u]+int64(win[u].lower) : offsets[u+1]] {
+				if v < lo || v >= hi {
+					continue
+				}
+				wv := &win[v]
+				if wv.cursor == wv.lower {
+					return fmt.Errorf("vertex %d has more smaller neighbors in the fill pass than in the count pass", v)
+				}
+				adj[offsets[v]+int64(wv.cursor)] = u
+				wv.cursor++
+			}
+		}
+		return nil
 	})
 
-	// Forward compaction: rebuild offsets over the deduped lengths and slide
-	// each window to its final position. Writes never pass reads because new
-	// offsets are ≤ old offsets. Skipped entirely when nothing shrank.
+	// Lower parts → upper parts, sources descending, skipping duplicates:
+	// each upper part is rewritten from its window's end backwards, so it
+	// comes out sorted, deduplicated and flush with the window's end, at
+	// [offsets[u]+cursor, offsets[u+1]). It cannot overflow: an upper part
+	// receives one entry per distinct arc it was filled with. Lower parts are
+	// sorted, so a shard stops reading one at its first entry ≥ hi.
+	b.shard(func(lo, hi int32) error {
+		for u := lo; u < hi; u++ {
+			win[u].cursor = int32(offsets[u+1] - offsets[u])
+		}
+		for v := int32(b.n) - 1; v > lo; v-- {
+			prev := int32(-1)
+			for _, u := range adj[offsets[v] : offsets[v]+int64(win[v].lower)] {
+				if u >= hi {
+					break
+				}
+				if u < lo || u == prev {
+					continue
+				}
+				prev = u
+				wu := &win[u]
+				wu.cursor--
+				adj[offsets[u]+int64(wu.cursor)] = v
+			}
+		}
+		return nil
+	})
+
+	// Forward compaction: slide each window's lower part, dropping adjacent
+	// duplicates, and then its upper part to their final position. Writes
+	// never pass reads because new offsets are ≤ old offsets.
 	maxDeg := int64(0)
 	w := int64(0)
-	shrunk := false
 	for v := 0; v < b.n; v++ {
-		start, deg := b.offsets[v], b.cursors[v]
-		if deg > maxDeg {
-			maxDeg = deg
+		start, end := offsets[v], offsets[v+1]
+		offsets[v] = w
+		prev := int32(-1)
+		for _, u := range adj[start : start+int64(win[v].lower)] {
+			if u != prev {
+				adj[w] = u
+				w++
+				prev = u
+			}
 		}
-		if shrunk || start != w {
-			shrunk = true
-			copy(b.adj[w:w+deg], b.adj[start:start+deg])
-		}
-		b.offsets[v] = w
-		w += deg
+		w += int64(copy(adj[w:], adj[start+int64(win[v].cursor):end]))
+		maxDeg = max(maxDeg, w-offsets[v])
 	}
-	b.offsets[b.n] = w
-	adj := b.adj[:w:w]
+	offsets[b.n] = w
 
-	g := &Static{offsets: b.offsets, neighbors: adj, maxDeg: int(maxDeg)}
-	b.offsets, b.cursors, b.adj = nil, nil, nil
+	g := &Static{offsets: offsets, neighbors: adj[:w:w], maxDeg: int(maxDeg)}
+	b.offsets, b.win, b.adj, b.errs = nil, nil, nil, nil
 	return g
 }
 

@@ -1,8 +1,14 @@
 package graph
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
+	"runtime"
+	"slices"
 	"testing"
+
+	"repro/internal/invariant"
 )
 
 // randomArcs returns m packed arcs over n vertices, including self-loops and
@@ -17,8 +23,8 @@ func randomArcs(n, m int, seed uint64) []uint64 {
 	return keys
 }
 
-// oldFromPackedArcs is the pre-chunked reference construction: materialize
-// both orientations, radix sort, compact, slice into CSR.
+// oldFromPackedArcs is the sort-based reference construction: materialize
+// both orientations, sort, compact, slice into CSR.
 func oldFromPackedArcs(n int, keys []uint64) *Static {
 	dir := make([]uint64, 0, 2*len(keys))
 	for _, k := range keys {
@@ -28,15 +34,18 @@ func oldFromPackedArcs(n int, keys []uint64) *Static {
 		}
 		dir = append(dir, k, v<<32|u)
 	}
-	radixSortUint64(dir)
-	j := 0
-	for i, k := range dir {
-		if i == 0 || dir[j-1] != k {
-			dir[j] = k
-			j++
-		}
+	slices.Sort(dir)
+	dir = slices.Compact(dir)
+	g := &Static{offsets: make([]int64, n+1), neighbors: make([]int32, len(dir))}
+	for i, a := range dir {
+		g.offsets[(a>>32)+1]++
+		g.neighbors[i] = int32(a & 0xffffffff)
 	}
-	return fromSortedDirectedArcs(n, dir[:j])
+	for v := 0; v < n; v++ {
+		g.maxDeg = max(g.maxDeg, int(g.offsets[v+1]))
+		g.offsets[v+1] += g.offsets[v]
+	}
+	return g
 }
 
 func TestFromPackedArcsMatchesReference(t *testing.T) {
@@ -104,59 +113,78 @@ func TestFromStream(t *testing.T) {
 	}
 }
 
+// TestChunkedBuilderMisuse runs every misuse case single-threaded and
+// sharded: a mismatch found inside a worker goroutine must still panic on
+// the caller's goroutine, where the deferred recover can observe it.
 func TestChunkedBuilderMisuse(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			testChunkedBuilderMisuse(t, ChunkedOptions{Workers: workers})
+		})
+	}
+}
+
+func testChunkedBuilderMisuse(t *testing.T, opt ChunkedOptions) {
 	expectPanic := func(name string, fn func()) {
 		t.Helper()
 		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
+			if _, ok := recover().(*invariant.Violation); !ok {
+				t.Errorf("%s: expected an invariant violation", name)
 			}
 		}()
 		fn()
 	}
+	// mismatch counts one arc multiset, fills another, and builds.
+	mismatch := func(count, fill []uint64) func() {
+		return func() {
+			b := NewChunkedBuilder(4, opt)
+			b.CountChunk(count)
+			b.FinishCounts()
+			b.FillChunk(fill)
+			b.Build()
+		}
+	}
 
-	expectPanic("negative n", func() { NewChunkedBuilder(-1, ChunkedOptions{}) })
+	expectPanic("negative n", func() { NewChunkedBuilder(-1, opt) })
 
 	expectPanic("out-of-range endpoint", func() {
-		b := NewChunkedBuilder(4, ChunkedOptions{})
+		b := NewChunkedBuilder(4, opt)
 		b.CountChunk([]uint64{uint64(9)<<32 | 1})
 	})
 
 	expectPanic("count after finish", func() {
-		b := NewChunkedBuilder(4, ChunkedOptions{})
+		b := NewChunkedBuilder(4, opt)
 		b.FinishCounts()
 		b.CountChunk([]uint64{1})
 	})
 
 	expectPanic("fill before finish", func() {
-		b := NewChunkedBuilder(4, ChunkedOptions{})
+		b := NewChunkedBuilder(4, opt)
 		b.FillChunk([]uint64{1})
 	})
 
 	expectPanic("build before finish", func() {
-		b := NewChunkedBuilder(4, ChunkedOptions{})
+		b := NewChunkedBuilder(4, opt)
 		b.Build()
 	})
 
-	expectPanic("fill overflow (extra arcs in fill pass)", func() {
-		// Workers:1 keeps the overflow check on the caller's goroutine so the
-		// deferred recover above can observe the panic.
-		b := NewChunkedBuilder(4, ChunkedOptions{Workers: 1})
-		b.CountChunk([]uint64{uint64(0)<<32 | 1})
-		b.FinishCounts()
-		b.FillChunk([]uint64{uint64(0)<<32 | 1, uint64(0)<<32 | 2})
-	})
+	expectPanic("fill overflow (extra arcs in fill pass)",
+		mismatch([]uint64{pack(0, 1)}, []uint64{pack(0, 1), pack(0, 2)}))
 
-	expectPanic("fill underflow (missing arcs in fill pass)", func() {
-		b := NewChunkedBuilder(4, ChunkedOptions{})
-		b.CountChunk([]uint64{uint64(0)<<32 | 1, uint64(2)<<32 | 3})
-		b.FinishCounts()
-		b.FillChunk([]uint64{uint64(0)<<32 | 1})
-		b.Build()
-	})
+	expectPanic("fill underflow (missing arcs in fill pass)",
+		mismatch([]uint64{pack(0, 1), pack(2, 3)}, []uint64{pack(0, 1)}))
+
+	// Every vertex has degree 1 in both passes, but the arcs differ.
+	expectPanic("same degrees, different arcs",
+		mismatch([]uint64{pack(0, 1), pack(2, 3)}, []uint64{pack(0, 3), pack(1, 2)}))
+
+	// Vertex 0 is the smaller endpoint of two arcs in both passes, but the
+	// larger endpoints differ: only the lower-part transpose can tell.
+	expectPanic("same smaller endpoints, different larger endpoints",
+		mismatch([]uint64{pack(0, 1), pack(0, 2)}, []uint64{pack(0, 1), pack(0, 1)}))
 
 	expectPanic("double build", func() {
-		b := NewChunkedBuilder(2, ChunkedOptions{})
+		b := NewChunkedBuilder(2, opt)
 		b.CountChunk(nil)
 		b.FinishCounts()
 		b.Build()
@@ -172,4 +200,35 @@ func TestChunkedBuilderEmpty(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestFromPackedArcsAllocations pins the bytes one build allocates: the CSR
+// offsets, the pre-dedup neighbor array (both orientations of every
+// non-loop arc) and 8 bytes of per-vertex state, plus a little slack for the
+// builder and graph headers and allocator rounding. A build that kept more
+// per-vertex arrays, or copied the arcs, would exceed it.
+func TestFromPackedArcsAllocations(t *testing.T) {
+	const n, m = 20000, 200000
+	keys := randomArcs(n, m, 21)
+	arcs := 0
+	for _, k := range keys {
+		if k>>32 != k&0xffffffff {
+			arcs++
+		}
+	}
+	limit := uint64(8*(n+1) + 4*2*arcs + 8*n + 32<<10)
+
+	var before, after runtime.MemStats
+	best := uint64(math.MaxUint64)
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		g := FromPackedArcs(n, keys)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(g)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	if best > limit {
+		t.Fatalf("FromPackedArcs allocated %d B, limit %d B", best, limit)
+	}
+	t.Logf("allocated %d B of a %d B limit", best, limit)
 }

@@ -2,7 +2,6 @@ package graph
 
 import (
 	"bytes"
-	"math/rand/v2"
 	"slices"
 	"strings"
 	"testing"
@@ -40,10 +39,9 @@ func FuzzReadText(f *testing.F) {
 }
 
 // FuzzPackedArcRoundTrip decodes arbitrary bytes into an edge list and
-// cross-checks the three construction paths — the Edge-struct Builder, the
-// packed-arc fast path, and the pre-sorted merge path — which must all
-// produce the identical valid graph regardless of duplicates, orientation,
-// or self-loops in the input.
+// cross-checks the two construction paths — the Edge-struct Builder and the
+// packed-arc fast path — which must produce the identical valid graph
+// regardless of duplicates, orientation, or self-loops in the input.
 func FuzzPackedArcRoundTrip(f *testing.F) {
 	f.Add([]byte{4, 0, 1, 1, 0, 2, 2, 3})
 	f.Add([]byte{1})
@@ -71,38 +69,42 @@ func FuzzPackedArcRoundTrip(f *testing.F) {
 		if got.N() != want.N() || !slices.Equal(got.Edges(), want.Edges()) {
 			t.Fatal("FromPackedArcs disagrees with FromEdges")
 		}
-		sorted := slices.Clone(keys)
-		slices.Sort(sorted)
-		got = FromSortedArcs(int(n), sorted)
-		if got.N() != want.N() || !slices.Equal(got.Edges(), want.Edges()) {
-			t.Fatal("FromSortedArcs disagrees with FromEdges")
-		}
 	})
 }
 
-// FuzzRadixSort cross-checks the radix sort against the standard library
-// on arbitrary byte-derived inputs.
-func FuzzRadixSort(f *testing.F) {
-	f.Add([]byte{1, 2, 3}, uint64(7))
-	f.Add([]byte{}, uint64(0))
-	f.Fuzz(func(t *testing.T, raw []byte, seed uint64) {
-		rng := rand.New(rand.NewPCG(seed, 1))
-		n := len(raw)*8 + rng.IntN(700) // cross the small-input cutoff
-		keys := make([]uint64, n)
-		for i := range keys {
-			// Mix fuzz bytes with pseudo-randomness, biased toward packed
-			// edge shapes (small varying bit ranges).
-			b := uint64(0)
-			if len(raw) > 0 {
-				b = uint64(raw[i%len(raw)])
-			}
-			keys[i] = b<<32 | uint64(rng.Uint32())>>uint(rng.IntN(24))
+// FuzzChunkedBuild drives the chunked builder with arbitrary arcs — either
+// orientation, duplicates, self-loops, isolated vertices — a fuzzed worker
+// count, and independent chunk boundaries in the count and fill passes, and
+// checks the result against the sort-based reference construction.
+func FuzzChunkedBuild(f *testing.F) {
+	f.Add([]byte{6, 0, 1, 1, 0, 2, 5, 5, 5, 3, 1}, uint8(0), uint8(1), uint8(2))
+	f.Add([]byte{1}, uint8(3), uint8(0), uint8(0))
+	f.Add([]byte{40, 7, 3, 3, 7, 39, 0, 12, 12, 0, 39, 7, 3, 20, 21}, uint8(3), uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, data []byte, workers, countChunk, fillChunk uint8) {
+		if len(data) == 0 {
+			return
 		}
-		want := slices.Clone(keys)
-		slices.Sort(want)
-		radixSortUint64(keys)
-		if !slices.Equal(keys, want) {
-			t.Fatal("radix sort disagrees with slices.Sort")
+		n := int(data[0]%64) + 1
+		keys := make([]uint64, 0, len(data)/2)
+		for i := 1; i+1 < len(data); i += 2 {
+			keys = append(keys, uint64(int(data[i])%n)<<32|uint64(int(data[i+1])%n))
+		}
+		b := NewChunkedBuilder(n, ChunkedOptions{Workers: int(workers%8) + 1})
+		feed := func(pass func([]uint64), size int) {
+			for i := 0; i < len(keys); i += size {
+				pass(keys[i:min(i+size, len(keys))])
+			}
+		}
+		feed(b.CountChunk, int(countChunk%16)+1)
+		b.FinishCounts()
+		feed(b.FillChunk, int(fillChunk%16)+1)
+		got := b.Build()
+		if err := got.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		want := oldFromPackedArcs(n, keys)
+		if !Equal(got, want) || got.MaxDegree() != want.MaxDegree() {
+			t.Fatal("chunked build differs from the sort-based reference")
 		}
 	})
 }

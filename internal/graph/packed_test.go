@@ -56,35 +56,6 @@ func TestFromPackedArcsDoesNotMutateInput(t *testing.T) {
 	}
 }
 
-func TestFromSortedArcsMatchesFromPackedArcs(t *testing.T) {
-	const n, m = 120, 600
-	keys := randomKeys(n, m, 7)
-	keys = append(keys, keys[:30]...) // duplicates
-	slices.Sort(keys)
-	a := FromSortedArcs(n, keys)
-	b := FromPackedArcs(n, keys)
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if a.M() != b.M() {
-		t.Fatalf("FromSortedArcs m=%d, FromPackedArcs m=%d", a.M(), b.M())
-	}
-	for v := int32(0); v < n; v++ {
-		if !slices.Equal(a.Neighbors(v), b.Neighbors(v)) {
-			t.Fatalf("adjacency of %d differs: %v vs %v", v, a.Neighbors(v), b.Neighbors(v))
-		}
-	}
-}
-
-func TestFromSortedArcsPanicsOnUnsorted(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unsorted keys did not panic")
-		}
-	}()
-	FromSortedArcs(5, []uint64{pack(2, 3), pack(0, 1)})
-}
-
 func TestBuilderAddPacked(t *testing.T) {
 	b := NewBuilder(6)
 	b.AddPacked(pack(4, 1)) // already canonical by pack
