@@ -132,7 +132,7 @@ func (o Options) validate() error {
 // claimed size; field names the checkpoint section in errors.
 func validateMatching(g *graph.Dynamic, mates []int32, size int, field string) error {
 	m := matching.WrapMates(mates, size)
-	if err := matching.Verify(g.Snapshot(), m); err != nil {
+	if err := matching.Verify(g, m); err != nil {
 		return &RestoreError{Field: field, Why: err.Error(), Err: err}
 	}
 	return nil

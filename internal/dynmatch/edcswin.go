@@ -9,6 +9,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/matching"
+	"repro/internal/params"
 )
 
 // EDCSWindowed maintains a matching under fully dynamic updates on
@@ -35,6 +36,15 @@ type EDCSWindowed struct {
 	window  int    // updates per window; 1 forces a recompute on the next update
 	out     *matching.Matching
 	metrics Metrics
+
+	// Recompute scratch, recycled from one window to the next: the
+	// snapshot, the EDCS and its construction arrays, and the phase
+	// engine's arenas. snap and h are rebuilt in place by every recompute,
+	// so they are private to recompute and must never escape it; only the
+	// output matching is allocated per recompute.
+	snap, h graph.Static
+	sparse  edcs.Scratch
+	eng     *matching.Engine
 }
 
 // NewEDCSWindowed creates an EDCSWindowed maintainer over an initially
@@ -72,7 +82,7 @@ func (mt *EDCSWindowed) Metrics() Metrics { return mt.metrics }
 // Validate checks that the output is a valid matching of the current
 // graph. Conformance hook, mirroring Maintainer.Validate.
 func (mt *EDCSWindowed) Validate() error {
-	return matching.Verify(mt.g.Snapshot(), mt.out)
+	return matching.Verify(mt.g, mt.out)
 }
 
 // Insert adds edge {u, v}; it reports whether the edge was new.
@@ -109,12 +119,22 @@ func (mt *EDCSWindowed) recomputeSeed() uint64 {
 }
 
 // recompute rebuilds the EDCS sparsifier of the current graph and the
-// matching on it, then opens the next window.
+// matching on it, then opens the next window. It is O(n + m) per EDCS pass
+// and allocates only the new output matching: the snapshot, the EDCS and
+// the engine arenas are recycled (see the scratch fields). The output is
+// bit-identical to matching.PhaseStructuredApprox on
+// edcs.SparsifyFor(g.Snapshot(), …).
 func (mt *EDCSWindowed) recompute() {
-	snap := mt.g.Snapshot()
+	if mt.eng == nil {
+		mt.eng = matching.NewEngine(matching.Options{Workers: 1})
+	}
+	snap := mt.g.SnapshotInto(&mt.snap)
 	s := mt.recomputeSeed()
-	h := edcs.SparsifyFor(snap, mt.eps, s)
-	mt.out = matching.PhaseStructuredApprox(h, mt.eps, s+1)
+	p := params.EDCS{}.ResolveFor(mt.eps)
+	h := mt.sparse.SparsifyInto(&mt.h, snap, edcs.Options{Beta: p.Beta, Lambda: p.Lambda}, s)
+	out := matching.NewMatching(h.N())
+	mt.eng.PhaseStructuredApproxInto(h, out, mt.eps, s+1)
+	mt.out = out
 	spent := int64(snap.M() + h.M() + 1)
 	mt.metrics.UnitsTotal += spent
 	if spent > mt.metrics.MaxUnitsUpdate {

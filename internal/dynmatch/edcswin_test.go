@@ -3,8 +3,12 @@ package dynmatch
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
+	"runtime"
 	"slices"
 	"testing"
+
+	"repro/internal/gen"
 )
 
 func applyEDCS(mt *EDCSWindowed, trace []update) {
@@ -154,5 +158,108 @@ func TestEDCSWindowedCheckpointNegativePaths(t *testing.T) {
 	}
 	if !bytes.Equal(valid, again) {
 		t.Fatal("restore→marshal is not byte-identical")
+	}
+}
+
+// TestEDCSWindowedGolden pins the complete state of an EDCSWindowed after a
+// fixed diversity2 load, oblivious churn and a tail of deletions: the hash
+// of its DMEW checkpoint bytes (graph slots, mates, window cursors, metrics)
+// and its Metrics. Every recompute's snapshot, EDCS and matching feed into
+// both, so a recompute that is not bit-identical fails here.
+//
+// Provenance of the goldens: recorded by running this same sequence against
+// the recompute that built its snapshot through graph.Builder, ran
+// edcs.SparsifyFor and matching.PhaseStructuredApprox on fresh arrays.
+func TestEDCSWindowedGolden(t *testing.T) {
+	g := gen.BoundedDiversityInstance(600, 2, 40, 21).G
+	ups := BuildUpdates(g, 21)
+	ups = append(ups, ObliviousChurn(g, 1500, 22)...)
+	es := g.Edges()
+	for i := 0; i < len(es); i += 3 {
+		ups = append(ups, Update{U: es[i].U, V: es[i].V})
+	}
+	mt := NewEDCSWindowed(g.N(), 0.3, 5)
+	for i, u := range ups {
+		u.Apply(mt)
+		if i%4099 == 0 {
+			if err := mt.Validate(); err != nil {
+				t.Fatalf("update %d: %v", i, err)
+			}
+		}
+	}
+	b, err := mt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(b)
+	want := Metrics{Updates: 18790, UnitsTotal: 10115939, MaxUnitsUpdate: 17383, Recomputes: 874}
+	const wantHash = 0xb8c22747e6064867
+	if got := h.Sum64(); got != wantHash || mt.Metrics() != want {
+		t.Errorf("checkpoint hash %#x metrics %+v, want %#x %+v", got, mt.Metrics(), uint64(wantHash), want)
+	}
+}
+
+// TestEDCSRecomputeAllocations checks that a steady-state recompute recycles
+// its snapshot, EDCS and engine scratch: on a 4000-vertex diversity2 graph
+// (about 124k edges) one ForceRecompute after two warm-up recomputes makes
+// at most 4 allocations of at most 16·n + 4 KiB bytes in total. The new
+// output matching (a struct and a 4·n-byte mate array) is the only
+// allocation the recompute needs.
+func TestEDCSRecomputeAllocations(t *testing.T) {
+	g := gen.BoundedDiversityInstance(4000, 2, 64, 1).G
+	n := g.N()
+	mt := NewEDCSWindowed(n, 0.3, 1)
+	g.ForEachEdge(func(u, v int32) { mt.g.Insert(u, v) })
+	mt.ForceRecompute()
+	mt.ForceRecompute()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	mt.ForceRecompute()
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	if limit := uint64(16*n + 4096); allocs > 4 || bytes > limit {
+		t.Fatalf("one recompute on m = %d made %d allocations of %d bytes, want ≤ 4 and ≤ %d", g.M(), allocs, bytes, limit)
+	}
+	t.Logf("m = %d: %d allocations, %d bytes", g.M(), allocs, bytes)
+}
+
+// TestEDCSRecomputeOutputsStayImmutable holds a Dynamic.Snapshot and the
+// maintained matching across further updates and recomputes: the recompute
+// recycles its own snapshot and EDCS arrays, but the graph a caller took
+// and the matching a caller holds must not change.
+func TestEDCSRecomputeOutputsStayImmutable(t *testing.T) {
+	g := gen.BoundedDiversityInstance(500, 2, 24, 3).G
+	ups := BuildUpdates(g, 3)
+	mt := NewEDCSWindowed(g.N(), 0.3, 2)
+	for _, u := range ups[:len(ups)/2] {
+		u.Apply(mt)
+	}
+	snap := mt.Graph().Snapshot()
+	snapEdges := snap.Edges()
+	held := mt.Matching()
+	heldMates := held.Mates()
+	recomputes := mt.Metrics().Recomputes
+	for _, u := range ups[len(ups)/2:] {
+		u.Apply(mt)
+	}
+	for _, u := range ObliviousChurn(g, 300, 4) {
+		u.Apply(mt)
+	}
+	mt.ForceRecompute()
+	if mt.Metrics().Recomputes < recomputes+10 {
+		t.Fatalf("only %d recomputes after the snapshot, want at least 10", mt.Metrics().Recomputes-recomputes)
+	}
+	if err := snap.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(snap.Edges(), snapEdges) {
+		t.Fatal("a held snapshot changed under later recomputes")
+	}
+	if !slices.Equal(held.Mates(), heldMates) || held == mt.Matching() {
+		t.Fatal("a held matching changed, or was reused, by a later recompute")
+	}
+	if err := mt.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

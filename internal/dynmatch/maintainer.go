@@ -91,7 +91,7 @@ func (mt *Maintainer) ResolvedOptions() Options { return mt.opt }
 // valid matching of the current graph (vertex-disjoint pairs over live
 // edges). Conformance hook for internal/testkit and the fuzz oracles.
 func (mt *Maintainer) Validate() error {
-	return matching.Verify(mt.g.Snapshot(), mt.out)
+	return matching.Verify(mt.g, mt.out)
 }
 
 // Insert adds edge {u, v}; it reports whether the edge was new.

@@ -27,8 +27,8 @@ package edcs
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
-	"repro/internal/arcs"
 	"repro/internal/graph"
 	"repro/internal/invariant"
 	"repro/internal/params"
@@ -63,8 +63,35 @@ func maxPasses(n, beta int) int {
 // the fixpoint loop is a seed-keyed permutation of the edge list, so the
 // output is deterministic for a fixed (g, Beta, Lambda, seed) and
 // bit-identical across runs and worker counts; different seeds explore
-// different (equally valid) fixpoints.
+// different (equally valid) fixpoints. It returns a fresh graph built by
+// Scratch.SparsifyInto on fresh scratch.
 func Sparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
+	var s Scratch
+	return s.SparsifyInto(new(graph.Static), g, opt, seed)
+}
+
+// Scratch holds the arrays of an EDCS construction — the shuffled edge
+// list, the H-degrees, the membership flags and the H builder's windows —
+// so that repeated constructions reuse them. The zero value is ready to
+// use. A Scratch is not safe for concurrent use.
+type Scratch struct {
+	edges []graph.Edge
+	deg   []int32
+	inH   []bool
+	sub   graph.SubgraphBuilder
+	pcg   rand.PCG
+	rng   *rand.Rand
+}
+
+// SparsifyInto is Sparsify reusing s's arrays: it overwrites dst with the
+// EDCS of g and returns it. dst must be private to the caller (see
+// graph.SubgraphBuilder.BuildInto); pass new(graph.Static) for a fresh
+// graph. The output is identical to Sparsify's.
+//
+// The work is O(n + m) per fixpoint pass and every pass reads the edge
+// list sequentially: the Fisher–Yates draws are applied to the edge list
+// itself, and H is scattered into windows sized by its final degrees.
+func (s *Scratch) SparsifyInto(dst, g *graph.Static, opt Options, seed uint64) *graph.Static {
 	if opt.Beta < 2 {
 		invariant.Violatef("edcs: Beta must be >= 2, got %d", opt.Beta)
 	}
@@ -73,46 +100,45 @@ func Sparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
 	}
 	lowTh := params.EDCSLowThreshold(opt.Beta, opt.Lambda)
 	n := g.N()
-	edges := g.Edges()
+	s.edges = g.AppendEdges(s.edges[:0])
+	edges := s.edges
 	m := len(edges)
 
-	// Seed-stable tie-break order: a Fisher–Yates permutation of the edge
-	// indices drawn from a PCG keyed by the seed. The edge list itself is
-	// canonical (sorted), so the permutation is the only randomness.
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
+	// Seed-stable tie-break order: a Fisher–Yates shuffle of the edge list,
+	// in place, drawn from a PCG keyed by the seed. The edge list itself is
+	// canonical (sorted), so the shuffle is the only randomness.
+	if s.rng == nil {
+		s.rng = rand.New(&s.pcg)
 	}
-	rng := rand.New(rand.NewPCG(seed, 0xedc5))
+	s.pcg.Seed(seed, 0xedc5)
 	for i := m - 1; i > 0; i-- {
-		j := rng.IntN(i + 1)
-		order[i], order[j] = order[j], order[i]
+		j := s.rng.IntN(i + 1)
+		edges[i], edges[j] = edges[j], edges[i]
 	}
 
-	deg := make([]int32, n)
-	inH := make([]bool, m)
-	kept := 0
+	s.deg = slices.Grow(s.deg[:0], n)[:n]
+	s.inH = slices.Grow(s.inH[:0], m)[:m]
+	deg, inH := s.deg, s.inH
+	clear(deg)
+	clear(inH)
 	for pass := 0; ; pass++ {
 		if pass > maxPasses(n, opt.Beta) {
 			invariant.Violatef("edcs: fixpoint exceeded %d passes (n=%d beta=%d)", maxPasses(n, opt.Beta), n, opt.Beta)
 		}
 		changed := false
-		for _, ei := range order {
-			e := edges[ei]
-			s := int(deg[e.U] + deg[e.V])
-			if inH[ei] {
-				if s > opt.Beta {
-					inH[ei] = false
+		for i, e := range edges {
+			sum := int(deg[e.U] + deg[e.V])
+			if inH[i] {
+				if sum > opt.Beta {
+					inH[i] = false
 					deg[e.U]--
 					deg[e.V]--
-					kept--
 					changed = true
 				}
-			} else if s < lowTh {
-				inH[ei] = true
+			} else if sum < lowTh {
+				inH[i] = true
 				deg[e.U]++
 				deg[e.V]++
-				kept++
 				changed = true
 			}
 		}
@@ -120,17 +146,7 @@ func Sparsify(g *graph.Static, opt Options, seed uint64) *graph.Static {
 			break
 		}
 	}
-
-	buf := arcs.Get()
-	buf.Grow(kept)
-	for ei, in := range inH {
-		if in {
-			buf.Add(edges[ei].U, edges[ei].V)
-		}
-	}
-	sp := graph.FromPackedArcs(n, buf.Keys())
-	buf.Release()
-	return sp
+	return s.sub.BuildInto(dst, edges, inH, deg)
 }
 
 // SparsifyFor builds an EDCS of g with (β_edcs, λ) resolved from ε by the

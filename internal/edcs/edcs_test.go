@@ -1,6 +1,7 @@
 package edcs
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/gen"
@@ -174,5 +175,55 @@ func TestOptionValidation(t *testing.T) {
 			}()
 			Sparsify(g, opt, 1)
 		}()
+	}
+}
+
+// hashEdges is FNV-64a over the little-endian (U, V) pairs of g.Edges().
+func hashEdges(g *graph.Static) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, e := range g.Edges() {
+		for i, w := range [2]int32{e.U, e.V} {
+			b[4*i], b[4*i+1], b[4*i+2], b[4*i+3] = byte(w), byte(w>>8), byte(w>>16), byte(w>>24)
+		}
+		h.Write(b[:])
+	}
+	return h.Sum64()
+}
+
+// TestSparsifyGolden pins the exact output of SparsifyFor on a fixed set of
+// (family, n, seed, ε): any change to the scan order, the fixpoint or the
+// construction of H shows up as a different edge hash.
+//
+// Provenance of the goldens: recorded by running this same table against
+// the construction that shuffled an index permutation, gathered the edges
+// through it on every pass and built H with graph.FromPackedArcs.
+func TestSparsifyGolden(t *testing.T) {
+	cases := []struct {
+		name  string
+		g     *graph.Static
+		seed  uint64
+		eps   float64
+		wantM int
+		want  uint64
+	}{
+		{"empty0", graph.Empty(0), 1, 0.3, 0, 0xcbf29ce484222325},
+		{"empty7", graph.Empty(7), 1, 0.3, 0, 0xcbf29ce484222325},
+		{"single-edge", graph.FromEdges(5, []graph.Edge{{U: 1, V: 3}}), 2, 0.3, 1, 0x69bd35421fcc2557},
+		{"clique40", gen.Clique(40), 3, 0.3, 369, 0xc9f9c00ef7110249},
+		{"er300", gen.ErdosRenyi(300, 0.1, 5), 4, 0.2, 4046, 0xa72e2f939657d188},
+		{"diversity2-2000", gen.BoundedDiversityInstance(2000, 2, 64, 6).G, 7, 0.3, 18410, 0xa5d6f77ad70919e},
+		{"diversity4-1500", gen.BoundedDiversityInstance(1500, 4, 48, 8).G, 9, 0.5, 7681, 0xad0b12522162228},
+		{"line-1000", gen.LineGraphInstance(1000, 16, 10).G, 11, 0.1, 7913, 0x48a19d606827e84c},
+		{"unitdisk-1200", gen.UnitDiskInstance(1200, 24, 12).G, 13, 0.25, 11992, 0x3bec09b8b5266f03},
+	}
+	for _, c := range cases {
+		h := SparsifyFor(c.g, c.eps, c.seed)
+		if err := h.Validate(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if got := hashEdges(h); h.M() != c.wantM || got != c.want {
+			t.Errorf("%s: |E(H)| = %d hash %#x, want %d %#x", c.name, h.M(), got, c.wantM, c.want)
+		}
 	}
 }

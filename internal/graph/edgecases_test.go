@@ -86,10 +86,3 @@ func TestHasEdgeSearchesSmallerList(t *testing.T) {
 		t.Error("HasEdge invented a leaf-leaf edge")
 	}
 }
-
-func TestEdgeSubgraph(t *testing.T) {
-	g := EdgeSubgraph(4, []Edge{{U: 1, V: 3}})
-	if g.N() != 4 || g.M() != 1 || !g.HasEdge(1, 3) {
-		t.Errorf("EdgeSubgraph: N=%d M=%d", g.N(), g.M())
-	}
-}

@@ -108,3 +108,68 @@ func FuzzChunkedBuild(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDynamicSnapshot applies arbitrary insert/delete sequences to a
+// Dynamic on at most 23 vertices (n = 0 and n = 1 included) and checks
+// Snapshot against the Builder construction over ForEachEdge: Equal, valid
+// and with the same maximum degree — mid-sequence, at the end, after every
+// edge is deleted and after the edges come back. SnapshotInto must give
+// the same graph over one recycled Static whose buffers first hold a
+// larger graph, then shrink and grow again.
+func FuzzDynamicSnapshot(f *testing.F) {
+	f.Add([]byte{0}, uint8(7))
+	f.Add([]byte{1, 0, 0, 0}, uint8(0))
+	f.Add([]byte{6, 0, 1, 2, 0, 2, 3, 1, 1, 2, 0, 4, 5, 2, 0, 5, 0, 1, 3}, uint8(40))
+	f.Add([]byte{9, 0, 0, 8, 4, 0, 7, 0, 8, 7, 1, 8, 0, 3, 3, 3}, uint8(3))
+	f.Fuzz(func(t *testing.T, data []byte, big uint8) {
+		if len(data) == 0 {
+			return
+		}
+		n := int(data[0]) % 24
+		var rec Static
+		prev := NewDynamic(int(big) % 32) // a near-clique fills rec first
+		for u := int32(0); u < int32(prev.N()); u++ {
+			for v := u + 2; v < int32(prev.N()); v++ {
+				prev.Insert(u, v)
+			}
+		}
+		prev.SnapshotInto(&rec)
+		d := NewDynamic(n)
+		check := func(stage string) {
+			t.Helper()
+			b := NewBuilder(n)
+			d.ForEachEdge(b.AddEdge)
+			want := b.Build()
+			for _, got := range []*Static{d.Snapshot(), d.SnapshotInto(&rec)} {
+				if err := got.Validate(); err != nil {
+					t.Fatalf("%s: %v", stage, err)
+				}
+				if !Equal(got, want) || got.MaxDegree() != want.MaxDegree() || got.M() != d.M() {
+					t.Fatalf("%s: snapshot differs from the Builder construction", stage)
+				}
+			}
+		}
+		for i := 1; n > 0 && i+2 < len(data); i += 3 {
+			u, v := int32(data[i+1])%int32(n), int32(data[i+2])%int32(n)
+			if data[i]&1 == 0 {
+				d.Insert(u, v)
+			} else {
+				d.Delete(u, v)
+			}
+			if data[i]&6 == 0 {
+				check("mid-sequence")
+			}
+		}
+		check("end")
+		var es []Edge
+		d.ForEachEdge(func(u, v int32) { es = append(es, Edge{U: u, V: v}) })
+		for _, e := range es {
+			d.Delete(e.U, e.V)
+		}
+		check("every edge deleted")
+		for _, e := range es {
+			d.Insert(e.V, e.U)
+		}
+		check("edges restored")
+	})
+}

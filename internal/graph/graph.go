@@ -48,7 +48,9 @@ func (e Edge) Other(v int32) int32 {
 //
 // Neighbor lists are sorted, contain no duplicates and no self-loops.
 // All methods are safe for concurrent use (the structure is read-only
-// after construction).
+// after construction). The one exception is a Static its owner passes to
+// Dynamic.SnapshotInto or SubgraphBuilder.BuildInto, which rebuild it in
+// place; such a Static must stay private to that owner.
 type Static struct {
 	offsets   []int64
 	neighbors []int32
@@ -109,15 +111,20 @@ func (g *Static) NonIsolated() int {
 
 // Edges returns all edges with U < V, sorted lexicographically.
 func (g *Static) Edges() []Edge {
-	edges := make([]Edge, 0, g.M())
+	return g.AppendEdges(make([]Edge, 0, g.M()))
+}
+
+// AppendEdges appends the edges of Edges to dst and returns the extended
+// slice, reusing dst's capacity when it suffices.
+func (g *Static) AppendEdges(dst []Edge) []Edge {
 	for v := int32(0); v < int32(g.N()); v++ {
 		for _, w := range g.Neighbors(v) {
 			if v < w {
-				edges = append(edges, Edge{v, w})
+				dst = append(dst, Edge{v, w})
 			}
 		}
 	}
-	return edges
+	return dst
 }
 
 // ForEachEdge calls fn once per undirected edge, with u < v.

@@ -1,5 +1,11 @@
 package graph
 
+import (
+	"slices"
+
+	"repro/internal/invariant"
+)
+
 // Induced returns the subgraph of g induced by the vertex set verts,
 // together with the mapping from new vertex ids (0..len(verts)-1) back to
 // the original ids. Duplicate vertices in verts are ignored.
@@ -49,11 +55,84 @@ func Union(g, h *Static) *Static {
 	return b.Build()
 }
 
-// EdgeSubgraph returns the subgraph of g on the same vertex set containing
-// exactly the given edges. Edges not present in g are still included; use
-// this only with edges drawn from g.
-func EdgeSubgraph(n int, edges []Edge) *Static {
-	return FromEdges(n, edges)
+// SubgraphBuilder builds the subgraph of a simple graph given by a subset
+// of its edges, in O(n + kept edges) with no sort, reusing its scratch from
+// one build to the next. The zero value is ready to use. A SubgraphBuilder
+// is not safe for concurrent use.
+type SubgraphBuilder struct {
+	offsets []int64
+	rows    []int32
+}
+
+// BuildInto overwrites dst with the graph on len(deg) vertices whose edges
+// are the edges[i] with keep[i], reusing dst's arrays when their capacity
+// suffices, and returns dst; pass new(Static) for a fresh graph. deg[v]
+// must be the number of kept edges at v, and the kept edges must be
+// distinct and loop-free, as every subset of a Static's edges is. dst must
+// not be read by anyone else while it is rebuilt.
+//
+// The kept edges are scattered, unsorted, into windows sized by deg; the
+// transpose of symmetricInto then writes them into dst sorted. It panics
+// when a window's fill disagrees with deg.
+func (b *SubgraphBuilder) BuildInto(dst *Static, edges []Edge, keep []bool, deg []int32) *Static {
+	n := len(deg)
+	offs := slices.Grow(b.offsets[:0], n+1)[:n+1]
+	offs[0] = 0
+	var total int64
+	for v, d := range deg {
+		offs[v+1] = total // v's window start, then its fill cursor
+		total += int64(d)
+	}
+	rows := slices.Grow(b.rows[:0], int(total))[:total]
+	for i, e := range edges {
+		if keep[i] {
+			rows[offs[e.U+1]] = e.V
+			offs[e.U+1]++
+			rows[offs[e.V+1]] = e.U
+			offs[e.V+1]++
+		}
+	}
+	// Every cursor now sits at its window's end; window v holds deg[v]
+	// entries for every v iff consecutive ends differ by deg.
+	for v, d := range deg {
+		if offs[v+1]-offs[v] != int64(d) {
+			invariant.Violatef("graph: vertex %d has %d kept edges, deg says %d", v, offs[v+1]-offs[v], d)
+		}
+	}
+	b.offsets, b.rows = offs, rows
+	return symmetricInto(dst, n, func(v int32) []int32 { return rows[offs[v]:offs[v+1]] })
+}
+
+// symmetricInto overwrites dst with the CSR of the graph on n vertices whose
+// adjacency rows are row(0), …, row(n−1), reusing dst's arrays when their
+// capacity suffices, and returns dst. The rows may be in any order but must
+// be loop-free, duplicate-free and symmetric (w ∈ row(v) ⟺ v ∈ row(w)).
+//
+// Offsets come from the row lengths. One scatter over the sources in
+// ascending order then writes v into the window of every w ∈ row(v); by
+// symmetry window w receives exactly row(w), in ascending order of source,
+// so every window comes out sorted with no comparison. The work is
+// O(n + Σ|row(v)|).
+func symmetricInto(dst *Static, n int, row func(v int32) []int32) *Static {
+	offsets := slices.Grow(dst.offsets[:0], n+1)[:n+1]
+	offsets[0] = 0
+	var total int64
+	maxDeg := 0
+	for v := int32(0); v < int32(n); v++ {
+		offsets[v+1] = total // v's window start, then its fill cursor
+		d := len(row(v))
+		total += int64(d)
+		maxDeg = max(maxDeg, d)
+	}
+	neighbors := slices.Grow(dst.neighbors[:0], int(total))[:total]
+	for v := int32(0); v < int32(n); v++ {
+		for _, w := range row(v) {
+			neighbors[offsets[w+1]] = v
+			offsets[w+1]++
+		}
+	}
+	dst.offsets, dst.neighbors, dst.maxDeg = offsets, neighbors, maxDeg
+	return dst
 }
 
 // ConnectedComponents returns, for each vertex, the id of its component,

@@ -133,9 +133,18 @@ func (m *Matching) Clone() *Matching {
 // Mates returns a copy of the underlying mate array.
 func (m *Matching) Mates() []int32 { return slices.Clone(m.mate) }
 
+// EdgeOracle is the read-only view of a graph that Verify needs: its
+// vertex count and edge membership. *graph.Static and *graph.Dynamic both
+// satisfy it, so a matching can be checked against a live dynamic graph
+// without building a CSR copy.
+type EdgeOracle interface {
+	N() int
+	HasEdge(u, v int32) bool
+}
+
 // Verify checks that m is a valid matching in g: every matched pair is an
 // edge of g and the mate relation is a consistent involution.
-func Verify(g *graph.Static, m *Matching) error {
+func Verify(g EdgeOracle, m *Matching) error {
 	if m.N() != g.N() {
 		return fmt.Errorf("matching: defined over %d vertices, graph has %d", m.N(), g.N())
 	}
